@@ -472,7 +472,8 @@ pub struct AllocScratch {
     /// Free-slot list materialised only on failure paths.
     all_free: Vec<u32>,
     /// Candidate order under spare-capacity steering: `(bottleneck free
-    /// slots, candidate index)` pairs, rebuilt per admission.
+    /// slots, position in the pair's unfiltered candidate list)` pairs,
+    /// rebuilt per admission.
     route_order: Vec<(u32, u32)>,
     /// Recycled grants whose buffers the next admission reuses.
     spare: Vec<Grant>,
@@ -821,6 +822,11 @@ impl Allocator {
         for &salt in self.salts() {
             match self.allocate_one(spec, alloc, conn, salt, routes, scratch) {
                 Ok(()) => return Ok(()),
+                // Raised only when no candidate was tried, before the salt
+                // is used: every other salt would refuse identically.
+                Err(e @ (AllocError::NoRoute { .. } | AllocError::LinkDown { .. })) => {
+                    return Err(e)
+                }
                 Err(e) => last_err = Some(e),
             }
         }
@@ -869,42 +875,48 @@ impl Allocator {
 
         // Spare-capacity steering scores every (healthy) candidate by the
         // bottleneck free-slot count along its route and tries the widest
-        // bottleneck first; the provider's candidate index breaks ties,
-        // so the order — and every grant — stays replay-deterministic.
-        // The default shortest-first mode skips this pass entirely and is
-        // bit-for-bit the historical behaviour.
+        // bottleneck first; the candidate's position in the provider's
+        // list breaks ties, so the order — and every grant — stays
+        // replay-deterministic. Scoring is one in-order pass over the
+        // pair's complete list, and `route_order` keeps positions in that
+        // list, so each try below is one lookup with no healthy-index
+        // scan. The default shortest-first mode skips this pass entirely
+        // and is bit-for-bit the historical behaviour.
+        let topo = spec.topology();
         let steered = self.steering == Steering::SpareCapacity;
         if steered {
             route_order.clear();
-            let mut i = 0usize;
-            while let Some(route) = routes.candidate(spec.topology(), src_ni, dst_ni, i) {
+            let (all, faults) = routes.all_candidates(topo, src_ni, dst_ni);
+            for (pos, route) in all.iter().enumerate() {
+                if faults.blocks(&route.links) {
+                    continue;
+                }
                 let bottleneck = route
                     .links
                     .iter()
                     .map(|&l| alloc.link_tables[l.index()].free_count())
                     .min()
                     .unwrap_or(0);
-                route_order.push((bottleneck, i as u32));
-                i += 1;
+                route_order.push((bottleneck, pos as u32));
             }
-            route_order.sort_unstable_by_key(|&(free, i)| (core::cmp::Reverse(free), i));
+            route_order.sort_unstable_by_key(|&(free, pos)| (core::cmp::Reverse(free), pos));
         }
 
-        // Candidates are pulled from the cache one index at a time, so the
-        // expensive detour enumeration only runs for connections that
-        // exhaust the dimension-ordered routes.
+        // Unsteered, candidates are pulled from the cache one index at a
+        // time, so the expensive detour enumeration only runs for
+        // connections that exhaust the dimension-ordered routes.
         let mut tried = 0usize;
         loop {
-            let idx = if steered {
-                match route_order.get(tried) {
-                    Some(&(_, i)) => i as usize,
-                    None => break,
-                }
+            let route = if steered {
+                let Some(&(_, pos)) = route_order.get(tried) else {
+                    break;
+                };
+                &routes.all_candidates(topo, src_ni, dst_ni).0[pos as usize]
             } else {
-                tried
-            };
-            let Some(route) = routes.candidate(spec.topology(), src_ni, dst_ni, idx) else {
-                break;
+                let Some(route) = routes.candidate(topo, src_ni, dst_ni, tried) else {
+                    break;
+                };
+                route
             };
             tried += 1;
             let links = &route.links;
@@ -1018,7 +1030,7 @@ impl Allocator {
         }
 
         if tried == 0 {
-            if let Some(link) = routes.blocking_fault(spec.topology(), src_ni, dst_ni) {
+            if let Some(link) = routes.blocking_fault(topo, src_ni, dst_ni) {
                 return Err(AllocError::LinkDown { conn, link });
             }
             return Err(AllocError::NoRoute { conn });

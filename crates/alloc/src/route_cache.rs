@@ -32,10 +32,11 @@
 //!
 //! Providers also carry a [`FaultMask`] of failed links (empty by
 //! default): under a non-empty mask every candidate traversing a down
-//! link is skipped, and installing a mask evicts resident entries that
-//! touch a newly-down link, so a stale path over a failed link can never
-//! be served. With an empty mask the lookup path is bit-for-bit the
-//! unmasked one.
+//! link is skipped at lookup time, so a path over a failed link can never
+//! be served. Resident entries are a pure function of the topology and
+//! stay valid across every mask change, so installing a mask is a plain
+//! copy. With an empty mask the lookup path is bit-for-bit the unmasked
+//! one.
 
 use crate::path::{detour_candidates, initial_candidates, Path};
 use aelite_spec::ids::{LinkId, NiId};
@@ -123,6 +124,21 @@ fn nth_healthy(routes: &[CachedRoute], faults: &FaultMask, i: usize) -> Option<u
         .filter(|(_, r)| !faults.blocks(&r.links))
         .nth(i)
         .map(|(pos, _)| pos)
+}
+
+/// `routes` filtered through `faults`: the resident slice itself under an
+/// empty mask, otherwise the healthy routes copied into `scratch`.
+fn healthy_routes<'a>(
+    routes: &'a [CachedRoute],
+    faults: &FaultMask,
+    scratch: &'a mut Vec<CachedRoute>,
+) -> &'a [CachedRoute] {
+    if faults.is_empty() {
+        return routes;
+    }
+    scratch.clear();
+    scratch.extend(routes.iter().filter(|r| !faults.blocks(&r.links)).cloned());
+    scratch
 }
 
 /// A candidate route with its precomputed link list.
@@ -267,17 +283,6 @@ impl Entry {
             .copied()
             .find(|&l| faults.is_down(l))
     }
-
-    /// Whether any materialized route traverses a link that is down in
-    /// `new` but was not in `old` — the eviction predicate of
-    /// [`RouteProvider::set_faults`].
-    fn touches_newly_down(&self, new: &FaultMask, old: &FaultMask) -> bool {
-        self.state != EntryState::Untouched
-            && self
-                .routes
-                .iter()
-                .any(|r| r.links.iter().any(|&l| new.is_down(l) && !old.is_down(l)))
-    }
 }
 
 /// Shape snapshot of the topology a provider was built for, used to
@@ -366,12 +371,28 @@ pub trait RouteProvider: core::fmt::Debug + Send {
 
     /// Installs `faults` as the provider's link-fault mask. Subsequent
     /// [`candidate`](Self::candidate)/[`candidates`](Self::candidates)
-    /// calls skip every route traversing a down link, and resident
-    /// entries touching a **newly** down link are evicted — their memory
-    /// is released and [`resident_pairs`](Self::resident_pairs) drops
-    /// accordingly. Re-materialization is a pure function of the
-    /// topology, so eviction never changes a candidate sequence.
+    /// calls skip every route traversing a down link. Resident entries
+    /// are kept: they depend only on the topology, so the mask alone
+    /// decides what is served.
     fn set_faults(&mut self, faults: &FaultMask);
+
+    /// The full candidate list from `src` to `dst`, shortest first and
+    /// **unfiltered**, together with the fault mask to filter it
+    /// through. The routes `r` with `!faults.blocks(&r.links)`, in
+    /// order, are exactly the sequence [`candidate`](Self::candidate)
+    /// serves — so one lookup walks every healthy candidate, without
+    /// `candidate`'s per-index scan or [`candidates`](Self::candidates)'
+    /// copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics as [`candidate`](Self::candidate) on a foreign topology.
+    fn all_candidates(
+        &mut self,
+        topo: &Topology,
+        src: NiId,
+        dst: NiId,
+    ) -> (&[RouteEntry], &FaultMask);
 
     /// When the (src, dst) pair is routable in the topology but **every**
     /// candidate traverses a down link, one of the blocking links (the
@@ -470,19 +491,7 @@ impl RouteProvider for RouteCache {
         self.shape.check(topo, src, dst);
         let entry = self.entries.entry(Self::key(src, dst)).or_default();
         entry.ensure_complete(topo, src, dst, self.max_paths);
-        if self.faults.is_empty() {
-            return &entry.routes;
-        }
-        let faults = &self.faults;
-        self.healthy.clear();
-        self.healthy.extend(
-            entry
-                .routes
-                .iter()
-                .filter(|r| !faults.blocks(&r.links))
-                .cloned(),
-        );
-        &self.healthy
+        healthy_routes(&entry.routes, &self.faults, &mut self.healthy)
     }
 
     fn resident_pairs(&self) -> usize {
@@ -494,10 +503,19 @@ impl RouteProvider for RouteCache {
     }
 
     fn set_faults(&mut self, faults: &FaultMask) {
-        let old = &self.faults;
-        self.entries
-            .retain(|_, e| !e.touches_newly_down(faults, old));
-        self.faults = faults.clone();
+        self.faults.clone_from(faults);
+    }
+
+    fn all_candidates(
+        &mut self,
+        topo: &Topology,
+        src: NiId,
+        dst: NiId,
+    ) -> (&[RouteEntry], &FaultMask) {
+        self.shape.check(topo, src, dst);
+        let entry = self.entries.entry(Self::key(src, dst)).or_default();
+        entry.ensure_complete(topo, src, dst, self.max_paths);
+        (&entry.routes, &self.faults)
     }
 
     fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId> {
@@ -580,19 +598,7 @@ impl RouteProvider for DenseRouteCache {
         let max_paths = self.max_paths;
         let entry = &mut self.entries[idx];
         entry.ensure_complete(topo, src, dst, max_paths);
-        if self.faults.is_empty() {
-            return &entry.routes;
-        }
-        let faults = &self.faults;
-        self.healthy.clear();
-        self.healthy.extend(
-            entry
-                .routes
-                .iter()
-                .filter(|r| !faults.blocks(&r.links))
-                .cloned(),
-        );
-        &self.healthy
+        healthy_routes(&entry.routes, &self.faults, &mut self.healthy)
     }
 
     fn resident_pairs(&self) -> usize {
@@ -604,13 +610,20 @@ impl RouteProvider for DenseRouteCache {
     }
 
     fn set_faults(&mut self, faults: &FaultMask) {
-        let old = &self.faults;
-        for e in &mut self.entries {
-            if e.touches_newly_down(faults, old) {
-                *e = Entry::default();
-            }
-        }
-        self.faults = faults.clone();
+        self.faults.clone_from(faults);
+    }
+
+    fn all_candidates(
+        &mut self,
+        topo: &Topology,
+        src: NiId,
+        dst: NiId,
+    ) -> (&[RouteEntry], &FaultMask) {
+        self.shape.check(topo, src, dst);
+        let idx = self.pair_index(src, dst);
+        let entry = &mut self.entries[idx];
+        entry.ensure_complete(topo, src, dst, self.max_paths);
+        (&entry.routes, &self.faults)
     }
 
     fn blocking_fault(&mut self, topo: &Topology, src: NiId, dst: NiId) -> Option<LinkId> {
@@ -839,40 +852,84 @@ mod tests {
     }
 
     #[test]
-    fn set_faults_evicts_resident_entries_touching_newly_down_links() {
+    fn set_faults_keeps_resident_entries_and_filters_by_mask() {
         let topo = Topology::mesh(4, 4, 1);
         let (mut hashed, mut dense) = both_providers(&topo, 12);
         // Touch two pairs: one through the failed link's router, one far away.
         let (near_s, near_d) = (NiId::new(0), NiId::new(1));
         let (far_s, far_d) = (NiId::new(14), NiId::new(15));
         for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            let _ = p.candidates(&topo, near_s, near_d);
+            let full: Vec<Path> = p
+                .candidates(&topo, near_s, near_d)
+                .iter()
+                .map(|r| r.path.clone())
+                .collect();
             let _ = p.candidates(&topo, far_s, far_d);
             assert_eq!(p.resident_pairs(), 2);
 
+            // Failing the NI ingress link severs the near pair, yet both
+            // entries stay resident: the mask alone filters them.
             let down = p.candidates(&topo, near_s, near_d)[0].links[0];
             let mut mask = FaultMask::new();
             mask.set_down(down);
             p.set_faults(&mask);
-            assert_eq!(
-                p.resident_pairs(),
-                1,
-                "the entry over the failed link is evicted, the bystander stays"
-            );
-
-            // Re-installing the same mask evicts nothing further (only
-            // *newly* down links evict), and the evicted pair re-resides
-            // on next touch with the same healthy answer as a cold cache.
-            p.set_faults(&mask);
-            assert_eq!(p.resident_pairs(), 1);
+            assert_eq!(p.resident_pairs(), 2, "set_faults evicts nothing");
             assert!(p.candidates(&topo, near_s, near_d).is_empty());
+            assert!(p.candidate(&topo, near_s, near_d, 0).is_none());
+
+            // The warm answer is exactly a cold cache's under the same mask.
+            let mut cold = RouteCache::new(&topo, 12);
+            cold.set_faults(&mask);
+            for (s, d) in [(near_s, near_d), (far_s, far_d)] {
+                let warm: Vec<Path> = p
+                    .candidates(&topo, s, d)
+                    .iter()
+                    .map(|r| r.path.clone())
+                    .collect();
+                let fresh: Vec<Path> = cold
+                    .candidates(&topo, s, d)
+                    .iter()
+                    .map(|r| r.path.clone())
+                    .collect();
+                assert_eq!(warm, fresh, "{s}->{d}");
+            }
             assert_eq!(p.resident_pairs(), 2);
 
-            // Raising the link back evicts nothing; the stale-filtered
-            // entry serves the full list again purely via the mask.
+            // Raising the link back serves the full list again.
             p.set_faults(&FaultMask::new());
             assert_eq!(p.resident_pairs(), 2);
-            assert!(!p.candidates(&topo, near_s, near_d).is_empty());
+            let back: Vec<Path> = p
+                .candidates(&topo, near_s, near_d)
+                .iter()
+                .map(|r| r.path.clone())
+                .collect();
+            assert_eq!(back, full);
+        }
+    }
+
+    #[test]
+    fn all_candidates_filtered_by_mask_match_indexed_walk() {
+        let topo = Topology::mesh(3, 3, 1);
+        let (mut hashed, mut dense) = both_providers(&topo, 12);
+        let (s, d) = (NiId::new(0), NiId::new(8));
+        let down = hashed.candidates(&topo, s, d)[0].links[1];
+        let mut mask = FaultMask::new();
+        mask.set_down(down);
+        for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
+            for m in [FaultMask::new(), mask.clone()] {
+                p.set_faults(&m);
+                let (all, faults) = p.all_candidates(&topo, s, d);
+                let healthy: Vec<Path> = all
+                    .iter()
+                    .filter(|r| !faults.blocks(&r.links))
+                    .map(|r| r.path.clone())
+                    .collect();
+                let mut walked = Vec::new();
+                while let Some(r) = p.candidate(&topo, s, d, walked.len()) {
+                    walked.push(r.path.clone());
+                }
+                assert_eq!(healthy, walked);
+            }
         }
     }
 

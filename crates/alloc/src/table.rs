@@ -314,6 +314,21 @@ impl SlotTable {
         }
     }
 
+    /// The owner of every reserved slot, in slot order: a connection
+    /// holding several slots appears once per slot. One pass over the
+    /// owner storage, with no per-slot probe.
+    pub fn owners(&self) -> impl Iterator<Item = ConnId> + '_ {
+        let (dense, sparse): (&[Option<ConnId>], &[(u32, ConnId)]) = match &self.owners {
+            Owners::Dense(v) => (v, &[]),
+            Owners::Sparse(v) => (&[], v),
+        };
+        dense
+            .iter()
+            .flatten()
+            .copied()
+            .chain(sparse.iter().map(|&(_, c)| c))
+    }
+
     /// Iterates over `(slot, owner)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (u32, Option<ConnId>)> + '_ {
         (0..self.size).map(move |s| (s, self.owner(s)))

@@ -217,8 +217,7 @@ impl ChurnEngine {
 
     /// Installs `faults` as the route provider's fault mask: from now on
     /// no admission through this engine can be granted a route that
-    /// traverses a down link, and resident cached routes touching a
-    /// newly-down link are evicted (see [`RouteProvider::set_faults`]).
+    /// traverses a down link (see [`RouteProvider::set_faults`]).
     ///
     /// The mask constrains *future* admissions only — grants already in
     /// an allocation are not inspected here. Walking the affected grants

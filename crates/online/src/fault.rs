@@ -15,8 +15,7 @@
 //! 1. **mask** — the failed link enters the engine's
 //!    [`FaultMask`]; from that point no
 //!    admission path (serial, batched round, sharded two-phase commit)
-//!    can grant a route traversing it, and resident cached routes over
-//!    it are evicted;
+//!    can grant a route traversing it;
 //! 2. **make-before-break** — each affected grant (hardest first, the
 //!    allocator's admission order) is re-admitted on a fault-free path
 //!    *while its old reservations are still held*, then the old slots
@@ -730,13 +729,17 @@ impl FaultEngine {
         newly_down: &[LinkId],
     ) -> RecoveryReport {
         self.engine.set_faults(&self.mask);
+        // Every grant reserves at least one slot on each of its links, so
+        // the owners of the newly-down tables (one entry per slot) are
+        // exactly the affected grants. The admission-order key ends in
+        // the conn id, a total order, so deduplicating first changes
+        // nothing but the number of keys computed.
         self.order.clear();
-        self.order.extend(
-            alloc
-                .grants()
-                .filter(|g| g.links.iter().any(|l| newly_down.contains(l)))
-                .map(|g| g.conn),
-        );
+        for &l in newly_down {
+            self.order.extend(alloc.link_table(l).owners());
+        }
+        self.order.sort_unstable();
+        self.order.dedup();
         admission_order(spec, &mut self.order);
         let mut report = RecoveryReport {
             affected: self.order.len() as u32,
