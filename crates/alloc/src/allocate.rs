@@ -65,8 +65,8 @@ impl Allocation {
 
     /// An allocation for `spec` with no grants: the starting point for
     /// incremental flows that admit connections one at a time through
-    /// [`Allocator::extend_with_cache`] (e.g. a design-space sweep
-    /// measuring how many connections of an oversubscribed workload fit).
+    /// [`Allocator::admit_in_round`] (e.g. a design-space sweep measuring
+    /// how many connections of an oversubscribed workload fit).
     #[must_use]
     pub fn empty_for(spec: &SystemSpec) -> Self {
         Allocation::empty(spec)
@@ -76,12 +76,6 @@ impl Allocation {
     #[must_use]
     pub fn table_size(&self) -> u32 {
         self.table_size
-    }
-
-    /// Releases the grant of `conn`, freeing its slots; `false` if it
-    /// held none. Used by the reconfiguration flow.
-    pub(crate) fn release_grant(&mut self, conn: aelite_spec::ids::ConnId) -> bool {
-        self.take_grant(conn).is_some()
     }
 
     /// Releases the grant of `conn` and returns it — the O(Δ) teardown
@@ -459,8 +453,8 @@ impl std::error::Error for AllocError {}
 /// short-lived heap allocations per second. An `AllocScratch` owns all
 /// of those buffers plus a pool of recycled [`Grant`]s (returned by
 /// [`Allocation::take_grant`] on teardown), so the steady-state churn
-/// loop of [`Allocator::admit`] runs allocation-free: every buffer a
-/// setup needs is one a previous teardown gave back.
+/// loop of [`Allocator::admit_in_round`] runs allocation-free: every
+/// buffer a setup needs is one a previous teardown gave back.
 #[derive(Debug, Default)]
 pub struct AllocScratch {
     /// Candidate injection slots free on every link (rotate-and-AND).
@@ -706,42 +700,6 @@ impl Allocator {
         Ok(alloc)
     }
 
-    /// Admits a single ungranted connection into a live allocation — the
-    /// setup half of the online reconfiguration hot path.
-    ///
-    /// Semantically identical to
-    /// [`extend_with_cache`](Self::extend_with_cache) with a one-element
-    /// list, but shaped for sustained churn: no admission-order sort, no
-    /// per-call allocation (all working memory comes from `scratch`,
-    /// including recycled grant buffers), and the phase-salt retries run
-    /// inline. Existing grants are never touched (the paper's
-    /// undisturbed-service model); on failure the allocation is exactly
-    /// as it was.
-    ///
-    /// Equivalent to [`begin_round`](Self::begin_round) followed by one
-    /// [`admit_in_round`](Self::admit_in_round) — callers admitting a
-    /// whole burst hoist the round setup instead of paying it per call.
-    ///
-    /// # Errors
-    ///
-    /// Returns the last [`AllocError`] if no phase salt finds a grant.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `conn` already holds a grant, or if `alloc`/`routes`
-    /// were built for a different table size / `max_paths` bound.
-    pub fn admit<R: RouteProvider + ?Sized>(
-        &self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        conn: ConnId,
-        routes: &mut R,
-        scratch: &mut AllocScratch,
-    ) -> Result<(), AllocError> {
-        let round = self.begin_round(spec, alloc, routes);
-        self.admit_in_round(&round, spec, alloc, conn, routes, scratch)
-    }
-
     /// Opens a batched admission round: validates once that `spec`,
     /// `alloc` and `routes` describe the same platform and grows the
     /// per-connection grant storage to cover `spec`'s ids, returning a
@@ -749,10 +707,9 @@ impl Allocator {
     ///
     /// The point is amortisation: the validation — in particular the
     /// grant-storage capacity check, which scans `spec`'s connection list
-    /// — is O(connections), so paying it per *request* (as
-    /// [`admit`](Self::admit) does) dominates the cost of admitting one
-    /// connection on large pools. A burst of independent requests pays it
-    /// once here and then runs each admission O(Δ).
+    /// — is O(connections), so paying it per *request* dominates the cost
+    /// of admitting one connection on large pools. A burst of independent
+    /// requests pays it once here and then runs each admission O(Δ).
     ///
     /// The token is only evidence that the checks ran; callers must keep
     /// using the same `spec`/`alloc`/`routes` triple for every
@@ -784,10 +741,16 @@ impl Allocator {
         }
     }
 
-    /// [`admit`](Self::admit) with the per-round validation already paid
-    /// by [`begin_round`](Self::begin_round): the per-request work is
+    /// Admits a single ungranted connection into a live allocation — the
+    /// one admission entry every incremental flow (online churn, system
+    /// reconfiguration, the DSE fallback) goes through.
+    ///
+    /// The per-round validation is already paid by
+    /// [`begin_round`](Self::begin_round), so the per-request work is
     /// exactly the salt-retried admission kernel, O(Δ) in the candidate
-    /// paths' slot words.
+    /// paths' slot words, with all working memory (recycled grant buffers
+    /// included) taken from `scratch`. Existing grants are never touched
+    /// (the paper's undisturbed-service model).
     ///
     /// # Errors
     ///
@@ -1417,8 +1380,9 @@ mod tests {
                 alloc.link_tables[east.index()].reserve(s, load).unwrap();
             }
             let mut routes = RouteCache::new(spec.topology(), allocator.max_paths);
+            let round = allocator.begin_round(&spec, &mut alloc, &routes);
             allocator
-                .admit(&spec, &mut alloc, conn, &mut routes, &mut scratch)
+                .admit_in_round(&round, &spec, &mut alloc, conn, &mut routes, &mut scratch)
                 .expect("plenty of capacity on either candidate");
             let grant = alloc.grant(conn).unwrap();
             let crosses_loaded = grant.links.contains(&east);
@@ -1567,8 +1531,9 @@ mod tests {
         assert_eq!(scratch.pooled_grants(), 1);
 
         // Re-admission reuses the pooled buffers and disturbs nobody.
+        let round = allocator.begin_round(&spec, &mut alloc, &routes);
         allocator
-            .admit(&spec, &mut alloc, victim, &mut routes, &mut scratch)
+            .admit_in_round(&round, &spec, &mut alloc, victim, &mut routes, &mut scratch)
             .expect("freed resources suffice");
         assert_eq!(scratch.pooled_grants(), 0, "pooled grant was consumed");
         assert!(alloc.grant(victim).is_some());
@@ -1586,7 +1551,9 @@ mod tests {
         let mut alloc = allocator.allocate(&spec).unwrap();
         let mut routes = RouteCache::new(spec.topology(), allocator.max_paths);
         let mut scratch = AllocScratch::new();
-        let _ = allocator.admit(
+        let round = allocator.begin_round(&spec, &mut alloc, &routes);
+        let _ = allocator.admit_in_round(
+            &round,
             &spec,
             &mut alloc,
             spec.connections()[0].id,

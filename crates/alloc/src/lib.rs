@@ -14,7 +14,6 @@
 //! * [`table`] — per-link slot tables, gap and worst-window arithmetic.
 //! * [`mod@allocate`] — the greedy hardest-first allocator.
 //! * [`validate`] — an independent checker that re-derives every guarantee.
-//! * [`reconfigure`] — runtime release/extend without disturbing anyone.
 //!
 //! # Examples
 //!
@@ -36,7 +35,6 @@
 pub mod allocate;
 pub mod mask;
 pub mod path;
-pub mod reconfigure;
 pub mod route_cache;
 pub mod table;
 pub mod validate;
@@ -47,7 +45,6 @@ pub use allocate::{
 };
 pub use mask::SlotMask;
 pub use path::{dimension_ordered, route_candidates, Path, PathError};
-pub use reconfigure::release;
 pub use route_cache::{
     CachedRoute, DenseRouteCache, FaultMask, RouteCache, RouteEntry, RouteProvider,
 };

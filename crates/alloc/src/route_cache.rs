@@ -126,21 +126,6 @@ fn nth_healthy(routes: &[CachedRoute], faults: &FaultMask, i: usize) -> Option<u
         .map(|(pos, _)| pos)
 }
 
-/// `routes` filtered through `faults`: the resident slice itself under an
-/// empty mask, otherwise the healthy routes copied into `scratch`.
-fn healthy_routes<'a>(
-    routes: &'a [CachedRoute],
-    faults: &FaultMask,
-    scratch: &'a mut Vec<CachedRoute>,
-) -> &'a [CachedRoute] {
-    if faults.is_empty() {
-        return routes;
-    }
-    scratch.clear();
-    scratch.extend(routes.iter().filter(|r| !faults.blocks(&r.links)).cloned());
-    scratch
-}
-
 /// A candidate route with its precomputed link list.
 #[derive(Debug, Clone)]
 pub struct CachedRoute {
@@ -350,17 +335,6 @@ pub trait RouteProvider: core::fmt::Debug + Send {
     fn candidate(&mut self, topo: &Topology, src: NiId, dst: NiId, i: usize)
         -> Option<&RouteEntry>;
 
-    /// The full candidate list from `src` to `dst`, shortest first,
-    /// computing and memoizing it on first use. Under a non-empty
-    /// [fault mask](Self::faults) the list is filtered to the healthy
-    /// candidates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `topo`'s shape differs from the topology the provider
-    /// was created for, or `src`/`dst` lie outside it.
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry];
-
     /// How many (src, dst) pairs are resident — i.e. have been (at least
     /// partially) computed and are holding memory.
     fn resident_pairs(&self) -> usize;
@@ -370,19 +344,19 @@ pub trait RouteProvider: core::fmt::Debug + Send {
     fn faults(&self) -> &FaultMask;
 
     /// Installs `faults` as the provider's link-fault mask. Subsequent
-    /// [`candidate`](Self::candidate)/[`candidates`](Self::candidates)
-    /// calls skip every route traversing a down link. Resident entries
+    /// [`candidate`](Self::candidate) calls skip every route traversing a
+    /// down link, and [`all_candidates`](Self::all_candidates) hands the
+    /// mask out with the unfiltered list. Resident entries
     /// are kept: they depend only on the topology, so the mask alone
     /// decides what is served.
     fn set_faults(&mut self, faults: &FaultMask);
 
     /// The full candidate list from `src` to `dst`, shortest first and
-    /// **unfiltered**, together with the fault mask to filter it
-    /// through. The routes `r` with `!faults.blocks(&r.links)`, in
-    /// order, are exactly the sequence [`candidate`](Self::candidate)
-    /// serves — so one lookup walks every healthy candidate, without
-    /// `candidate`'s per-index scan or [`candidates`](Self::candidates)'
-    /// copy.
+    /// **unfiltered**, computing and memoizing it on first use, together
+    /// with the fault mask to filter it through. The routes `r` with
+    /// `!faults.blocks(&r.links)`, in order, are exactly the sequence
+    /// [`candidate`](Self::candidate) serves — so one lookup walks every
+    /// healthy candidate, without `candidate`'s per-index scan.
     ///
     /// # Panics
     ///
@@ -425,7 +399,7 @@ pub trait RouteProvider: core::fmt::Debug + Send {
 ///
 /// let topo = Topology::mesh(2, 2, 1);
 /// let mut cache = RouteCache::new(&topo, 4);
-/// let routes = cache.candidates(&topo, NiId::new(0), NiId::new(3));
+/// let (routes, _faults) = cache.all_candidates(&topo, NiId::new(0), NiId::new(3));
 /// assert!(!routes.is_empty());
 /// assert_eq!(routes[0].links.len(), routes[0].path.link_count());
 /// assert_eq!(cache.resident_pairs(), 1); // only the pair we touched
@@ -436,9 +410,6 @@ pub struct RouteCache {
     shape: Shape,
     entries: HashMap<(u32, u32), Entry>,
     faults: FaultMask,
-    /// Scratch for fault-filtered [`candidates`](RouteProvider::candidates)
-    /// results (the unmasked path returns the resident slice directly).
-    healthy: Vec<CachedRoute>,
 }
 
 impl RouteCache {
@@ -452,7 +423,6 @@ impl RouteCache {
             shape: Shape::of(topo),
             entries: HashMap::new(),
             faults: FaultMask::new(),
-            healthy: Vec::new(),
         }
     }
 
@@ -485,13 +455,6 @@ impl RouteProvider for RouteCache {
         self.shape.check(topo, src, dst);
         let entry = self.entries.entry(Self::key(src, dst)).or_default();
         entry.healthy_candidate(topo, src, dst, self.max_paths, i, &self.faults)
-    }
-
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry] {
-        self.shape.check(topo, src, dst);
-        let entry = self.entries.entry(Self::key(src, dst)).or_default();
-        entry.ensure_complete(topo, src, dst, self.max_paths);
-        healthy_routes(&entry.routes, &self.faults, &mut self.healthy)
     }
 
     fn resident_pairs(&self) -> usize {
@@ -541,9 +504,6 @@ pub struct DenseRouteCache {
     shape: Shape,
     entries: Vec<Entry>,
     faults: FaultMask,
-    /// Scratch for fault-filtered [`candidates`](RouteProvider::candidates)
-    /// results (the unmasked path returns the resident slice directly).
-    healthy: Vec<CachedRoute>,
 }
 
 impl DenseRouteCache {
@@ -557,7 +517,6 @@ impl DenseRouteCache {
             shape,
             entries: vec![Entry::default(); shape.ni_count * shape.ni_count],
             faults: FaultMask::new(),
-            healthy: Vec::new(),
         }
     }
 
@@ -590,15 +549,6 @@ impl RouteProvider for DenseRouteCache {
         self.shape.check(topo, src, dst);
         let idx = self.pair_index(src, dst);
         self.entries[idx].healthy_candidate(topo, src, dst, self.max_paths, i, &self.faults)
-    }
-
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry] {
-        self.shape.check(topo, src, dst);
-        let idx = self.pair_index(src, dst);
-        let max_paths = self.max_paths;
-        let entry = &mut self.entries[idx];
-        entry.ensure_complete(topo, src, dst, max_paths);
-        healthy_routes(&entry.routes, &self.faults, &mut self.healthy)
     }
 
     fn resident_pairs(&self) -> usize {
@@ -638,6 +588,20 @@ mod tests {
     use super::*;
     use crate::path::route_candidates;
 
+    /// A pair's healthy candidates: the unfiltered list filtered through
+    /// the provider's fault mask.
+    fn healthy(p: &mut dyn RouteProvider, topo: &Topology, s: NiId, d: NiId) -> Vec<RouteEntry> {
+        let (all, faults) = p.all_candidates(topo, s, d);
+        all.iter()
+            .filter(|r| !faults.blocks(&r.links))
+            .cloned()
+            .collect()
+    }
+
+    fn healthy_paths(p: &mut dyn RouteProvider, topo: &Topology, s: NiId, d: NiId) -> Vec<Path> {
+        healthy(p, topo, s, d).into_iter().map(|r| r.path).collect()
+    }
+
     #[test]
     fn cache_returns_same_routes_as_direct_enumeration() {
         let topo = Topology::mesh(3, 3, 2);
@@ -648,8 +612,8 @@ mod tests {
                 let (s, d) = (NiId::new(src), NiId::new(dst));
                 let direct = route_candidates(&topo, s, d, 8);
                 for (name, cached) in [
-                    ("hashed", cache.candidates(&topo, s, d)),
-                    ("dense", dense.candidates(&topo, s, d)),
+                    ("hashed", healthy(&mut cache, &topo, s, d)),
+                    ("dense", healthy(&mut dense, &topo, s, d)),
                 ] {
                     assert_eq!(cached.len(), direct.len(), "{name} {s}->{d}");
                     for (c, p) in cached.iter().zip(&direct) {
@@ -706,9 +670,12 @@ mod tests {
         let topo = Topology::mesh(2, 2, 1);
         let mut cache = RouteCache::new(&topo, 4);
         assert_eq!(cache.cached_pairs(), 0);
-        let n = cache.candidates(&topo, NiId::new(0), NiId::new(2)).len();
+        let n = healthy(&mut cache, &topo, NiId::new(0), NiId::new(2)).len();
         assert_eq!(cache.cached_pairs(), 1);
-        assert_eq!(cache.candidates(&topo, NiId::new(0), NiId::new(2)).len(), n);
+        assert_eq!(
+            healthy(&mut cache, &topo, NiId::new(0), NiId::new(2)).len(),
+            n
+        );
         assert_eq!(cache.cached_pairs(), 1);
     }
 
@@ -724,7 +691,7 @@ mod tests {
         let pairs = [(0u32, 1023u32), (17, 1000), (512, 513), (5, 5), (0, 1023)];
         let mut distinct = std::collections::BTreeSet::new();
         for (s, d) in pairs {
-            let _ = cache.candidates(&topo, NiId::new(s), NiId::new(d));
+            let _ = healthy(&mut cache, &topo, NiId::new(s), NiId::new(d));
             distinct.insert((s, d));
         }
         assert_eq!(cache.resident_pairs(), distinct.len());
@@ -774,15 +741,11 @@ mod tests {
         let topo = Topology::mesh(3, 3, 1);
         let (mut hashed, mut dense) = both_providers(&topo, 12);
         let (s, d) = (NiId::new(0), NiId::new(8)); // corner to corner
-        let all: Vec<Path> = hashed
-            .candidates(&topo, s, d)
-            .iter()
-            .map(|r| r.path.clone())
-            .collect();
+        let all = healthy_paths(&mut hashed, &topo, s, d);
         assert!(all.len() > 2, "diagonal pair has detours");
 
         // Fail the first link after the NI ingress of the XY route.
-        let down = hashed.candidates(&topo, s, d)[0].links[1];
+        let down = healthy(&mut hashed, &topo, s, d)[0].links[1];
         let mut mask = FaultMask::new();
         mask.set_down(down);
         hashed.set_faults(&mask);
@@ -791,8 +754,7 @@ mod tests {
         let expected: Vec<Path> = {
             let mut v = all.clone();
             let mut probe = RouteCache::new(&topo, 12);
-            let keep: Vec<bool> = probe
-                .candidates(&topo, s, d)
+            let keep: Vec<bool> = healthy(&mut probe, &topo, s, d)
                 .iter()
                 .map(|r| !r.links.contains(&down))
                 .collect();
@@ -803,12 +765,8 @@ mod tests {
         assert!(!expected.is_empty() && expected.len() < all.len());
 
         for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            // candidates() filters...
-            let filtered: Vec<Path> = p
-                .candidates(&topo, s, d)
-                .iter()
-                .map(|r| r.path.clone())
-                .collect();
+            // The filtered list...
+            let filtered = healthy_paths(p, &topo, s, d);
             assert_eq!(filtered, expected);
             // ...and candidate(i) serves exactly the healthy sequence.
             let mut walked = Vec::new();
@@ -824,11 +782,7 @@ mod tests {
 
         // Clearing the mask restores the unmasked sequence bit-for-bit.
         hashed.set_faults(&FaultMask::new());
-        let back: Vec<Path> = hashed
-            .candidates(&topo, s, d)
-            .iter()
-            .map(|r| r.path.clone())
-            .collect();
+        let back = healthy_paths(&mut hashed, &topo, s, d);
         assert_eq!(back, all);
     }
 
@@ -846,7 +800,7 @@ mod tests {
             assert!(p.blocking_fault(&topo, s, d).is_none(), "mask not set yet");
             p.set_faults(&mask);
             assert!(p.candidate(&topo, s, d, 0).is_none());
-            assert!(p.candidates(&topo, s, d).is_empty());
+            assert!(healthy(p, &topo, s, d).is_empty());
             assert_eq!(p.blocking_fault(&topo, s, d), Some(ingress));
         }
     }
@@ -859,38 +813,26 @@ mod tests {
         let (near_s, near_d) = (NiId::new(0), NiId::new(1));
         let (far_s, far_d) = (NiId::new(14), NiId::new(15));
         for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
-            let full: Vec<Path> = p
-                .candidates(&topo, near_s, near_d)
-                .iter()
-                .map(|r| r.path.clone())
-                .collect();
-            let _ = p.candidates(&topo, far_s, far_d);
+            let full = healthy_paths(p, &topo, near_s, near_d);
+            let _ = healthy(p, &topo, far_s, far_d);
             assert_eq!(p.resident_pairs(), 2);
 
             // Failing the NI ingress link severs the near pair, yet both
             // entries stay resident: the mask alone filters them.
-            let down = p.candidates(&topo, near_s, near_d)[0].links[0];
+            let down = healthy(p, &topo, near_s, near_d)[0].links[0];
             let mut mask = FaultMask::new();
             mask.set_down(down);
             p.set_faults(&mask);
             assert_eq!(p.resident_pairs(), 2, "set_faults evicts nothing");
-            assert!(p.candidates(&topo, near_s, near_d).is_empty());
+            assert!(healthy(p, &topo, near_s, near_d).is_empty());
             assert!(p.candidate(&topo, near_s, near_d, 0).is_none());
 
             // The warm answer is exactly a cold cache's under the same mask.
             let mut cold = RouteCache::new(&topo, 12);
             cold.set_faults(&mask);
             for (s, d) in [(near_s, near_d), (far_s, far_d)] {
-                let warm: Vec<Path> = p
-                    .candidates(&topo, s, d)
-                    .iter()
-                    .map(|r| r.path.clone())
-                    .collect();
-                let fresh: Vec<Path> = cold
-                    .candidates(&topo, s, d)
-                    .iter()
-                    .map(|r| r.path.clone())
-                    .collect();
+                let warm = healthy_paths(p, &topo, s, d);
+                let fresh = healthy_paths(&mut cold, &topo, s, d);
                 assert_eq!(warm, fresh, "{s}->{d}");
             }
             assert_eq!(p.resident_pairs(), 2);
@@ -898,11 +840,7 @@ mod tests {
             // Raising the link back serves the full list again.
             p.set_faults(&FaultMask::new());
             assert_eq!(p.resident_pairs(), 2);
-            let back: Vec<Path> = p
-                .candidates(&topo, near_s, near_d)
-                .iter()
-                .map(|r| r.path.clone())
-                .collect();
+            let back = healthy_paths(p, &topo, near_s, near_d);
             assert_eq!(back, full);
         }
     }
@@ -912,7 +850,7 @@ mod tests {
         let topo = Topology::mesh(3, 3, 1);
         let (mut hashed, mut dense) = both_providers(&topo, 12);
         let (s, d) = (NiId::new(0), NiId::new(8));
-        let down = hashed.candidates(&topo, s, d)[0].links[1];
+        let down = healthy(&mut hashed, &topo, s, d)[0].links[1];
         let mut mask = FaultMask::new();
         mask.set_down(down);
         for p in [&mut hashed as &mut dyn RouteProvider, &mut dense] {
@@ -939,7 +877,7 @@ mod tests {
         let small = Topology::mesh(2, 1, 1);
         let big = Topology::mesh(4, 4, 4);
         let mut cache = RouteCache::new(&small, 4);
-        let _ = cache.candidates(&big, NiId::new(0), NiId::new(60));
+        let _ = healthy(&mut cache, &big, NiId::new(0), NiId::new(60));
     }
 
     #[test]
@@ -951,7 +889,7 @@ mod tests {
         let a = Topology::mesh(4, 4, 1);
         let b = Topology::mesh(2, 8, 1);
         let mut cache = RouteCache::new(&a, 4);
-        let _ = cache.candidates(&b, NiId::new(0), NiId::new(5));
+        let _ = healthy(&mut cache, &b, NiId::new(0), NiId::new(5));
     }
 
     #[test]
@@ -960,6 +898,6 @@ mod tests {
         let a = Topology::mesh(4, 4, 1);
         let b = Topology::mesh(2, 8, 1);
         let mut cache = DenseRouteCache::new(&a, 4);
-        let _ = cache.candidates(&b, NiId::new(0), NiId::new(5));
+        let _ = healthy(&mut cache, &b, NiId::new(0), NiId::new(5));
     }
 }

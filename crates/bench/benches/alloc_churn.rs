@@ -18,8 +18,9 @@
 //! matrix and records the numbers in `BENCH_CHURN.json`.
 
 use aelite_alloc::{allocate, Allocator, RouteCache};
-use aelite_online::ChurnEngine;
+use aelite_online::{AdmissionRequest, ChurnEngine};
 use aelite_spec::app::SystemSpec;
+use aelite_spec::churn::ChurnOp;
 use aelite_spec::generate::{paper_workload, scaled_workload};
 use aelite_spec::ids::AppId;
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -43,9 +44,11 @@ fn bench_churn_pair(c: &mut Criterion) {
             b.iter(|| {
                 let conn = spec.connections()[next.get()].id;
                 next.set((next.get() + 1) % n);
-                assert!(engine.close(&mut alloc, conn));
                 engine
-                    .open(black_box(&spec), &mut alloc, conn)
+                    .submit(&spec, &mut alloc, AdmissionRequest::Close(conn))
+                    .expect("open");
+                engine
+                    .submit(black_box(&spec), &mut alloc, AdmissionRequest::Open(conn))
                     .expect("re-admits");
             });
         });
@@ -60,18 +63,23 @@ fn bench_churn_switch(c: &mut Criterion) {
         let mut engine = ChurnEngine::new(&spec);
         let app2: Vec<_> = spec.app_connections(AppId::new(2)).map(|c| c.id).collect();
         let app3: Vec<_> = spec.app_connections(AppId::new(3)).map(|c| c.id).collect();
+        let out_2 = ChurnOp::Switch {
+            close: app2.clone(),
+            open: app3.clone(),
+        };
+        let out_3 = ChurnOp::Switch {
+            close: app3,
+            open: app2,
+        };
         let out_is_2 = Cell::new(true);
         c.bench_function(&format!("churn_switch_{name}"), |b| {
             b.iter(|| {
-                let (close, open) = if out_is_2.get() {
-                    (&app2, &app3)
-                } else {
-                    (&app3, &app2)
-                };
+                let op = if out_is_2.get() { &out_2 } else { &out_3 };
                 out_is_2.set(!out_is_2.get());
-                engine
-                    .switch(black_box(&spec), &mut alloc, close, open)
-                    .expect("use cases co-exist");
+                assert!(
+                    engine.apply(black_box(&spec), &mut alloc, op),
+                    "use cases co-exist"
+                );
             });
         });
     }

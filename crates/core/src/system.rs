@@ -5,7 +5,8 @@
 //! result, and exposes guaranteed-service queries, simulation and
 //! verification — the workflow a user of the paper's design flow follows.
 
-use aelite_alloc::allocate::{AllocError, Allocation, Allocator};
+use aelite_alloc::allocate::{admission_order, AllocError, AllocScratch, Allocation, Allocator};
+use aelite_alloc::route_cache::RouteCache;
 use aelite_alloc::validate::{validate, Violation};
 
 use aelite_analysis::composability::{compare_timelines, ComposabilityResult, Timeline};
@@ -27,6 +28,9 @@ pub enum DesignError {
     /// The allocator produced an allocation the independent validator
     /// rejects — an internal error worth surfacing loudly.
     Validation(Vec<Violation>),
+    /// A reconfiguration kept this connection id but changed its
+    /// endpoints or contract.
+    ChangedConnection(ConnId),
 }
 
 impl fmt::Display for DesignError {
@@ -37,6 +41,10 @@ impl fmt::Display for DesignError {
             DesignError::Validation(v) => {
                 write!(f, "allocation failed validation ({} violations)", v.len())
             }
+            DesignError::ChangedConnection(c) => write!(
+                f,
+                "{c} changed during reconfiguration; remove it and add it under a new id"
+            ),
         }
     }
 }
@@ -237,43 +245,86 @@ impl AeliteSystem {
     ///
     /// Connection ids must be stable across specs: a connection present
     /// in both is "kept" and must have the same endpoints and contract.
+    /// The call is atomic: it either applies in full or leaves the
+    /// system exactly as it was.
     ///
     /// # Errors
     ///
-    /// Returns a [`DesignError`] if the new connections cannot be
-    /// allocated (the system is left with the removed connections
-    /// released and any partially added grants in place — inspect and
-    /// release to roll back) or the final allocation fails validation.
+    /// Returns, with the spec, every grant and every link table
+    /// unchanged:
     ///
-    /// # Panics
-    ///
-    /// Panics if a kept connection changed its contract or endpoints.
+    /// * [`DesignError::InvalidConfig`] if `new_spec`'s configuration is
+    ///   inconsistent or its slot-table size, slots per hop or link count
+    ///   differs from the running platform's;
+    /// * [`DesignError::ChangedConnection`] if a kept connection changed
+    ///   its endpoints or contract;
+    /// * [`DesignError::Allocation`] if the new connections cannot all be
+    ///   allocated;
+    /// * [`DesignError::Validation`] if the final allocation fails
+    ///   validation (an internal error).
     pub fn reconfigure(&mut self, new_spec: SystemSpec) -> Result<ReconfigReport, DesignError> {
         new_spec
             .config()
             .validate()
             .map_err(DesignError::InvalidConfig)?;
+        let (old_cfg, new_cfg) = (self.spec.config(), new_spec.config());
+        if new_cfg.slot_table_size != old_cfg.slot_table_size
+            || new_cfg.slots_per_hop() != old_cfg.slots_per_hop()
+            || new_spec.topology().link_count() != self.spec.topology().link_count()
+        {
+            return Err(DesignError::InvalidConfig(
+                "reconfiguration must keep the slot-table size, slots per hop and link count"
+                    .into(),
+            ));
+        }
         let old_ids: std::collections::BTreeSet<ConnId> =
             self.spec.connections().iter().map(|c| c.id).collect();
         let new_ids: std::collections::BTreeSet<ConnId> =
             new_spec.connections().iter().map(|c| c.id).collect();
-        for &kept in old_ids.intersection(&new_ids) {
-            assert_eq!(
-                self.spec.connection(kept),
-                new_spec.connection(kept),
-                "{kept} changed during reconfiguration; release and re-add it instead"
-            );
+        let changed = |c: ConnId| {
+            let (old, new) = (self.spec.connection(c), new_spec.connection(c));
+            old != new
+                || self.spec.ip_ni(old.src) != new_spec.ip_ni(new.src)
+                || self.spec.ip_ni(old.dst) != new_spec.ip_ni(new.dst)
+        };
+        if let Some(&c) = old_ids.intersection(&new_ids).find(|&&c| changed(c)) {
+            return Err(DesignError::ChangedConnection(c));
         }
         let released: Vec<ConnId> = old_ids.difference(&new_ids).copied().collect();
         let added: Vec<ConnId> = new_ids.difference(&old_ids).copied().collect();
-        for &c in &released {
-            aelite_alloc::reconfigure::release(&mut self.allocation, c);
+
+        let snapshot = self.allocation.clone();
+        if let Err(e) = apply_delta(&new_spec, &mut self.allocation, &released, &added) {
+            self.allocation = snapshot;
+            return Err(e);
         }
-        Allocator::new().extend(&new_spec, &mut self.allocation, &added)?;
-        validate(&new_spec, &self.allocation).map_err(DesignError::Validation)?;
         self.spec = new_spec;
         Ok(ReconfigReport { released, added })
     }
+}
+
+/// Releases `released`, admits `added` hardest-first in one admission
+/// round and validates the result against `spec`. Leaves `alloc`
+/// half-applied on error; [`AeliteSystem::reconfigure`] rolls it back.
+fn apply_delta(
+    spec: &SystemSpec,
+    alloc: &mut Allocation,
+    released: &[ConnId],
+    added: &[ConnId],
+) -> Result<(), DesignError> {
+    for &c in released {
+        alloc.take_grant(c);
+    }
+    let allocator = Allocator::new();
+    let mut routes = RouteCache::new(spec.topology(), allocator.max_paths);
+    let mut scratch = AllocScratch::new();
+    let round = allocator.begin_round(spec, alloc, &routes);
+    let mut order = added.to_vec();
+    admission_order(spec, &mut order);
+    for c in order {
+        allocator.admit_in_round(&round, spec, alloc, c, &mut routes, &mut scratch)?;
+    }
+    validate(spec, alloc).map_err(DesignError::Validation)
 }
 
 /// What a [`AeliteSystem::reconfigure`] call changed.
@@ -334,7 +385,11 @@ pub fn measured_services_be(report: &aelite_baseline::BeReport) -> Vec<MeasuredS
 #[cfg(test)]
 mod tests {
     use super::*;
+    use aelite_spec::app::SystemSpecBuilder;
+    use aelite_spec::config::NocConfig;
     use aelite_spec::generate::paper_workload;
+    use aelite_spec::ids::NiId;
+    use aelite_spec::topology::Topology;
 
     fn quick() -> SimOptions {
         SimOptions {
@@ -456,5 +511,133 @@ mod tests {
         let same = system.spec().clone();
         let report = system.reconfigure(same).unwrap();
         assert!(report.released.is_empty() && report.added.is_empty());
+    }
+
+    /// Everything a refused reconfiguration must leave as it was — the
+    /// spec, every grant and every link table — rendered for comparison.
+    fn state(system: &AeliteSystem) -> String {
+        format!("{:?}", (system.spec(), system.allocation()))
+    }
+
+    #[test]
+    fn reconfiguration_leaves_other_grants_untouched() {
+        // Remove application 1, then add its connections back (a stand-in
+        // for a new use case occupying the freed resources): every other
+        // grant is bit-identical — undisrupted QoS.
+        let mut system = AeliteSystem::design(paper_workload(42)).unwrap();
+        let full = system.spec().clone();
+        let keep: Vec<aelite_alloc::Grant> = full
+            .connections()
+            .iter()
+            .filter(|c| c.app != AppId::new(1))
+            .map(|c| system.allocation().grant(c.id).unwrap().clone())
+            .collect();
+        let others = [AppId::new(0), AppId::new(2), AppId::new(3)];
+        let report = system.reconfigure(full.restricted_to(&others)).unwrap();
+        assert_eq!(report.released.len(), 50);
+        let report = system.reconfigure(full).unwrap();
+        assert_eq!(report.added.len(), 50);
+        for g in keep {
+            assert_eq!(
+                system.allocation().grant(g.conn).unwrap(),
+                &g,
+                "{} moved",
+                g.conn
+            );
+        }
+        validate(system.spec(), system.allocation()).expect("final allocation is consistent");
+    }
+
+    #[test]
+    fn reconfiguration_allocates_new_connection_into_live_system() {
+        // A late application brings a connection whose id lies beyond the
+        // running spec's id bound; ids of existing connections are stable.
+        let topo = Topology::mesh(2, 2, 1);
+        let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
+        let base = b.add_app("base");
+        let late = b.add_app("late arrival");
+        let ips: Vec<_> = (0..4).map(|i| b.add_ip_at(NiId::new(i))).collect();
+        let bw = Bandwidth::from_mbytes_per_sec;
+        let c0 = b.add_connection(base, ips[0], ips[3], bw(100), 500);
+        let c1 = b.add_connection(late, ips[1], ips[2], bw(80), 500);
+        let full = b.build();
+        let mut system = AeliteSystem::design(full.restricted_to(&[base])).unwrap();
+        assert!(system.spec().conn_id_bound() <= c1.index());
+
+        let before = system.allocation().grant(c0).unwrap().clone();
+        let report = system.reconfigure(full).expect("capacity available");
+        assert_eq!(report.added, vec![c1]);
+        assert_eq!(
+            system.allocation().grant(c0).unwrap(),
+            &before,
+            "kept grant moved"
+        );
+        assert!(system.allocation().grant(c1).is_some());
+        validate(system.spec(), system.allocation()).expect("extended allocation validates");
+    }
+
+    #[test]
+    fn infeasible_reconfiguration_changes_nothing() {
+        // c0 nearly fills the 0→1 link, so c2 cannot join it; c1 runs the
+        // other way and is released by the same call. The refusal must
+        // also restore c1's grant.
+        let topo = Topology::mesh(2, 1, 1);
+        let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
+        let app = b.add_app("a");
+        let s = b.add_ip_at(NiId::new(0));
+        let d = b.add_ip_at(NiId::new(1));
+        let bw = Bandwidth::from_mbytes_per_sec;
+        let c0 = b.add_connection(app, s, d, bw(1_200), 10_000);
+        let c1 = b.add_connection(app, d, s, bw(100), 10_000);
+        let c2 = b.add_connection(app, s, d, bw(400), 10_000);
+        let full = b.build();
+        let mut system = AeliteSystem::design(full.restricted_to_connections(&[c0, c1])).unwrap();
+        let before = state(&system);
+
+        match system.reconfigure(full.restricted_to_connections(&[c0, c2])) {
+            Err(DesignError::Allocation(_)) => {}
+            other => panic!("expected Allocation error, got {other:?}"),
+        }
+        assert_eq!(
+            state(&system),
+            before,
+            "refused reconfiguration left changes"
+        );
+    }
+
+    #[test]
+    fn changed_kept_connection_is_refused() {
+        // One connection from the IP on NI `src` to the IP on NI 3.
+        let build = |src: u32, mbps: u64| {
+            let mut b = SystemSpecBuilder::new(Topology::mesh(2, 2, 1), NocConfig::paper_default());
+            let app = b.add_app("a");
+            let s = b.add_ip_at(NiId::new(src));
+            let d = b.add_ip_at(NiId::new(3));
+            b.add_connection(app, s, d, Bandwidth::from_mbytes_per_sec(mbps), 500);
+            b.build()
+        };
+        let mut system = AeliteSystem::design(build(0, 100)).unwrap();
+        let before = state(&system);
+        // A new contract, then the same contract from an IP on another NI.
+        for changed in [build(0, 200), build(1, 100)] {
+            assert_eq!(
+                system.reconfigure(changed),
+                Err(DesignError::ChangedConnection(ConnId::new(0)))
+            );
+            assert_eq!(state(&system), before);
+        }
+    }
+
+    #[test]
+    fn platform_change_is_refused() {
+        let mut system = AeliteSystem::design(paper_workload(1)).unwrap();
+        let before = state(&system);
+        let stages = system.spec().config().link_pipeline_stages;
+        let pipelined = system.spec().with_link_pipeline_stages(stages + 1, 1);
+        match system.reconfigure(pipelined) {
+            Err(DesignError::InvalidConfig(_)) => {}
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        }
+        assert_eq!(state(&system), before);
     }
 }

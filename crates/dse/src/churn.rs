@@ -20,7 +20,7 @@ use crate::engine::admit_incrementally;
 use crate::grid::DesignPoint;
 use crate::report::DseReport;
 use aelite_alloc::Allocator;
-use aelite_online::ChurnEngine;
+use aelite_online::{AdmissionRequest, ChurnEngine};
 use aelite_spec::churn::{churn_trace, ChurnParams};
 use aelite_spec::generate::try_random_workload;
 use core::fmt;
@@ -117,7 +117,9 @@ pub fn churn_point(point: &DesignPoint, events: u32) -> ChurnPoint {
     };
     let pool: Vec<_> = alloc.grants().map(|g| g.conn).collect();
     for c in pool {
-        engine.close(&mut alloc, c);
+        engine
+            .submit(&spec, &mut alloc, AdmissionRequest::Close(c))
+            .expect("drained connections hold grants");
     }
 
     let trace = churn_trace(&spec, &ChurnParams::steady(events), point.seed());

@@ -15,7 +15,7 @@
 use crate::grid::{DesignPoint, DseGrid};
 use crate::report::DseReport;
 use aelite_alloc::allocate::{admission_order, Allocation};
-use aelite_alloc::{Allocator, RouteCache, RouteProvider};
+use aelite_alloc::{AllocScratch, Allocator, RouteCache, RouteProvider};
 use aelite_dataflow::models::{predicted_flit_rate_per_us, wrapper_chain};
 use aelite_spec::app::SystemSpec;
 use aelite_spec::generate::try_random_workload;
@@ -182,9 +182,9 @@ pub fn evaluate_point<R: RouteProvider + ?Sized>(
 }
 
 /// Admission fallback when the all-or-nothing batch allocation fails:
-/// serve connections hardest-first (the batch flow's own order), one
-/// [`Allocator::extend_with_cache`] call each, keeping every success.
-/// Returns the partial allocation and the number of grants.
+/// serve connections hardest-first (the batch flow's own order) in one
+/// admission round, one [`Allocator::admit_in_round`] call each, keeping
+/// every success. Returns the partial allocation and the number of grants.
 pub(crate) fn admit_incrementally<R: RouteProvider + ?Sized>(
     allocator: &Allocator,
     spec: &SystemSpec,
@@ -193,10 +193,12 @@ pub(crate) fn admit_incrementally<R: RouteProvider + ?Sized>(
     let mut order: Vec<ConnId> = spec.connections().iter().map(|c| c.id).collect();
     admission_order(spec, &mut order);
     let mut alloc = Allocation::empty_for(spec);
+    let mut scratch = AllocScratch::new();
+    let round = allocator.begin_round(spec, &mut alloc, routes);
     let mut granted = 0u32;
     for conn in order {
         if allocator
-            .extend_with_cache(spec, &mut alloc, &[conn], routes)
+            .admit_in_round(&round, spec, &mut alloc, conn, routes, &mut scratch)
             .is_ok()
         {
             granted += 1;

@@ -85,8 +85,8 @@ impl ChurnStats {
 /// allocation-free.
 ///
 /// Every request is one [`AdmissionRequest`] serviced by
-/// [`submit`](Self::submit); [`open`](Self::open), [`close`](Self::close)
-/// and [`switch`](Self::switch) are thin wrappers over the same path, and
+/// [`submit`](Self::submit); [`apply`](Self::apply) replays a borrowed
+/// trace operation through the same kernels, and
 /// [`submit_batch`](Self::submit_batch) applies a burst of independent
 /// requests as one batched admission round, amortising the per-request
 /// validation over the burst.
@@ -603,82 +603,33 @@ impl ChurnEngine {
         })
     }
 
-    /// Sets up `conn`: routes it and reserves TDM slots in `alloc`,
-    /// leaving every existing grant untouched. A thin wrapper over
-    /// [`submit`](Self::submit) with [`AdmissionRequest::Open`]. O(Δ):
-    /// bitset kernels over the candidate paths' slot words, no
-    /// allocation in steady state.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`AdmissionError`] if no candidate path can satisfy
-    /// the connection's contract or it already holds a grant; `alloc` is
-    /// unchanged in that case.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`submit`](Self::submit).
-    pub fn open(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        conn: ConnId,
-    ) -> Result<(), AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
-        self.open_in_round(&round, spec, alloc, conn)
-    }
-
-    /// Tears down `conn`, freeing exactly its own `slots × links` table
-    /// entries (word-level free-mask deltas, no table rescans) and
-    /// recycling the grant's buffers for a later setup. A thin wrapper
-    /// over the [`AdmissionRequest::Close`] path of
-    /// [`submit`](Self::submit); returns `false` if the connection held
-    /// no grant (reported in [`ChurnStats::refused_closes`]).
-    pub fn close(&mut self, alloc: &mut Allocation, conn: ConnId) -> bool {
-        self.close_one(alloc, conn).is_ok()
-    }
-
-    /// Applies a use-case switch as one delta: tears down `close_set`,
-    /// then admits `open_set` hardest-first. A thin wrapper over the
-    /// [`AdmissionRequest::Switch`] path of [`submit`](Self::submit)
-    /// taking slices, so callers with long-lived sets avoid building a
-    /// request value. Connections in neither set keep their grants
-    /// bit-for-bit — the undisturbed-service property is structural,
-    /// whether the switch succeeds or fails.
-    ///
-    /// # Errors
-    ///
-    /// If some connection of `open_set` cannot be admitted, every
-    /// connection this switch had already opened is closed again and the
-    /// [`AdmissionError`] reports the refusal cause and rollback count;
-    /// the close set remains closed.
-    ///
-    /// # Panics
-    ///
-    /// Panics on platform mismatch, as [`submit`](Self::submit).
-    pub fn switch(
-        &mut self,
-        spec: &SystemSpec,
-        alloc: &mut Allocation,
-        close_set: &[ConnId],
-        open_set: &[ConnId],
-    ) -> Result<AdmissionResponse, AdmissionError> {
-        let round = self.allocator.begin_round(spec, alloc, &*self.routes);
-        self.switch_in_round(&round, spec, alloc, close_set, open_set)
-    }
-
     /// Applies one trace operation (see [`aelite_spec::churn`]),
     /// returning whether it was applied in full (an inadmissible open or
     /// a rolled-back switch returns `false`; a close of an already
     /// closed connection returns `true` — the requested state holds).
+    ///
+    /// The by-reference twin of [`submit`](Self::submit) for trace
+    /// replay: same kernels, same counters, but a switch's sets are
+    /// borrowed from the trace instead of moved into a request.
+    ///
+    /// # Panics
+    ///
+    /// Panics on platform mismatch, as [`submit`](Self::submit).
     pub fn apply(&mut self, spec: &SystemSpec, alloc: &mut Allocation, op: &ChurnOp) -> bool {
         match op {
-            ChurnOp::Open(c) => self.open(spec, alloc, *c).is_ok(),
+            ChurnOp::Open(c) => {
+                let round = self.allocator.begin_round(spec, alloc, &*self.routes);
+                self.open_in_round(&round, spec, alloc, *c).is_ok()
+            }
             ChurnOp::Close(c) => {
-                self.close(alloc, *c);
+                let _ = self.close_one(alloc, *c);
                 true
             }
-            ChurnOp::Switch { close, open } => self.switch(spec, alloc, close, open).is_ok(),
+            ChurnOp::Switch { close, open } => {
+                let round = self.allocator.begin_round(spec, alloc, &*self.routes);
+                self.switch_in_round(&round, spec, alloc, close, open)
+                    .is_ok()
+            }
         }
     }
 }
@@ -777,8 +728,12 @@ mod tests {
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = ChurnEngine::new(&spec);
         for c in spec.connections().iter().take(20) {
-            assert!(engine.close(&mut alloc, c.id));
-            engine.open(&spec, &mut alloc, c.id).expect("re-admits");
+            engine
+                .submit(&spec, &mut alloc, AdmissionRequest::Close(c.id))
+                .expect("open");
+            engine
+                .submit(&spec, &mut alloc, AdmissionRequest::Open(c.id))
+                .expect("re-admits");
         }
         assert_eq!(engine.stats().ops(), 40);
         assert_eq!(engine.stats().refusals(), 0);
@@ -837,7 +792,9 @@ mod tests {
         assert!(err.to_string().contains("already holds a grant"));
 
         // Close of a closed connection.
-        assert!(engine.close(&mut alloc, c));
+        engine
+            .submit(&spec, &mut alloc, AdmissionRequest::Close(c))
+            .expect("open");
         let err = engine
             .submit(&spec, &mut alloc, AdmissionRequest::Close(c))
             .expect_err("already closed");
@@ -865,8 +822,9 @@ mod tests {
         let mut alloc = allocate(&spec).unwrap();
         let mut engine = ChurnEngine::new(&spec);
         let c = spec.connections()[5].id;
-        assert!(engine.close(&mut alloc, c));
-        assert!(!engine.close(&mut alloc, c), "second close is a no-op");
+        let mut close = || engine.submit(&spec, &mut alloc, AdmissionRequest::Close(c));
+        assert!(close().is_ok());
+        assert!(close().is_err(), "second close is a no-op");
         assert_eq!(engine.stats().teardowns, 1);
         assert_eq!(engine.stats().refused_closes, 1);
     }
@@ -888,8 +846,12 @@ mod tests {
         let close: Vec<_> = spec.app_connections(AppId::new(2)).map(|c| c.id).collect();
         let open: Vec<_> = spec.app_connections(AppId::new(3)).map(|c| c.id).collect();
 
+        let switch = AdmissionRequest::Switch {
+            close: close.clone(),
+            open: open.clone(),
+        };
         let resp = engine
-            .switch(&spec, &mut alloc, &close, &open)
+            .submit(&spec, &mut alloc, switch)
             .expect("the paper workload's use cases co-exist");
         assert_eq!(
             resp,
@@ -933,8 +895,12 @@ mod tests {
         let before = alloc.grant(resident).unwrap().clone();
         let mut engine = ChurnEngine::new(&spec);
 
+        let switch = AdmissionRequest::Switch {
+            close: vec![],
+            open: vec![h1, h2],
+        };
         let err = engine
-            .switch(&spec, &mut alloc, &[], &[h1, h2])
+            .submit(&spec, &mut alloc, switch)
             .expect_err("two 800 MB/s flows cannot share one link with a resident");
         assert_eq!(err.rolled_back, 1, "first admission succeeded, then undone");
         assert!(
@@ -1037,7 +1003,9 @@ mod tests {
         let mut prep = allocate(&spec).unwrap();
         let warm = |engine: &mut ChurnEngine, alloc: &mut Allocation| {
             for &c in &ids[..10] {
-                assert!(engine.close(alloc, c));
+                engine
+                    .submit(&spec, alloc, AdmissionRequest::Close(c))
+                    .expect("open");
             }
         };
         warm(&mut engine_a, &mut prep);

@@ -3,10 +3,11 @@
 //! The aelite service model (paper Section II) performs connection setup
 //! and teardown *at run time*, over contention-free TDM slot tables, and
 //! guarantees that a reconfiguration never disturbs the service of any
-//! other connection. The design-time flow in [`aelite_alloc`] made
-//! reconfiguration *possible* ([`aelite_alloc::release`] /
-//! [`Allocator::extend`](aelite_alloc::Allocator::extend)); this crate
-//! makes it a **hot path** behind one unified admission API: every
+//! other connection. The design-time flow in [`aelite_alloc`] provides
+//! the single-connection admission kernel
+//! ([`Allocator::admit_in_round`](aelite_alloc::Allocator::admit_in_round));
+//! this crate makes reconfiguration a **hot path** behind one unified
+//! admission API: every
 //! operation is an [`AdmissionRequest`] serviced by
 //! [`ChurnEngine::submit`], answered with an [`AdmissionResponse`] or a
 //! structured [`AdmissionError`], with cost proportional to the delta,

@@ -223,7 +223,8 @@ impl ShardMap {
         }
 
         // Home every connection by the full candidate list the engines
-        // will enumerate: identical max_paths bound, identical cache.
+        // will enumerate: identical max_paths bound, identical cache, no
+        // fault mask (so the unfiltered list is the served one).
         let mut routes = RouteCache::new(topo, config.max_paths);
         let mut conn_home = vec![CROSS; spec.conn_id_bound()];
         let mut home_conns = vec![Vec::new(); shards];
@@ -234,7 +235,7 @@ impl ShardMap {
             let links = &mut conn_links[c.id.index()];
             let mut home: Option<u32> = None;
             let mut cross = false;
-            for route in routes.candidates(topo, src, dst) {
+            for route in routes.all_candidates(topo, src, dst).0 {
                 for l in &route.links {
                     links.push(*l);
                     let owner = link_owner[l.index()];

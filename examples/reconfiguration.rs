@@ -5,7 +5,7 @@
 //!
 //! Run with: `cargo run --example reconfiguration`
 
-use aelite_core::{AeliteSystem, SimOptions};
+use aelite_core::{AeliteSystem, DesignError, SimOptions};
 use aelite_spec::app::SystemSpecBuilder;
 use aelite_spec::config::NocConfig;
 use aelite_spec::ids::AppId;
@@ -14,13 +14,14 @@ use aelite_spec::traffic::Bandwidth;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A platform running a resident application plus a video call.
-    let build = |with_call: bool, with_game: bool| {
+    let build = |with_call: bool, with_game: bool, with_4k_game: bool| {
         let topo = Topology::mesh(3, 2, 2);
         let nis: Vec<_> = topo.nis().collect();
         let mut b = SystemSpecBuilder::new(topo, NocConfig::paper_default());
         let resident = b.add_app("resident OS services");
         let call = b.add_app("video call");
         let game = b.add_app("game");
+        let game_4k = b.add_app("4K game");
         let ips: Vec<_> = (0..8).map(|i| b.add_ip_at(nis[i])).collect();
         // The resident app always runs. Connection ids stay stable
         // because every connection is declared in a fixed order and
@@ -71,6 +72,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                 350,
             );
         }
+        if with_4k_game {
+            // More than any link carries: no mesh route can admit it.
+            b.add_connection(
+                game_4k,
+                ips[6],
+                ips[7],
+                Bandwidth::from_mbytes_per_sec(4_000),
+                250,
+            );
+        }
         // Ids stay stable because connections are declared in a fixed
         // order and flags only append/omit at the tail; transitions that
         // drop a middle application use `restricted_to` (id-preserving).
@@ -78,7 +89,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
 
     // Boot: resident + video call.
-    let mut system = AeliteSystem::design(build(true, false))?;
+    let mut system = AeliteSystem::design(build(true, false, false))?;
     let opts = SimOptions {
         duration_cycles: 60_000,
         record_timestamps: true,
@@ -92,7 +103,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     // The call ends and a game starts — one reconfiguration call.
-    let report = system.reconfigure(build(true, true))?;
+    let report = system.reconfigure(build(true, true, false))?;
     println!(
         "game installed: +{} connections (released {})",
         report.added.len(),
@@ -110,8 +121,18 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.added.len()
     );
 
+    // A 4K game asks for more than the mesh can carry: the whole
+    // reconfiguration is refused and the running system is unchanged.
+    let running = system.spec().connections().len();
+    let too_big = build(true, true, true).restricted_to(&[resident, AppId::new(2), AppId::new(3)]);
+    match system.reconfigure(too_big) {
+        Err(DesignError::Allocation(e)) => println!("4K game refused: {e}"),
+        other => panic!("expected an allocation refusal, got {other:?}"),
+    }
+    assert_eq!(system.spec().connections().len(), running);
+
     // The resident application's delivery timeline never moved by a
-    // single cycle through both reconfigurations.
+    // single cycle through both reconfigurations and the refused one.
     let after = system.simulate_apps(&[resident], opts);
     for (b, a) in before.report.per_conn.iter().zip(&after.report.per_conn) {
         assert_eq!(
@@ -120,7 +141,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             b.conn
         );
     }
-    println!("resident app: every flit delivery cycle identical across both swaps");
+    println!("resident app: every flit delivery cycle identical across all three calls");
 
     // And the surviving applications all meet their contracts.
     let outcome = system.simulate(opts);

@@ -54,10 +54,6 @@ impl RouteProvider for ColdPerMask {
         self.inner.candidate(topo, src, dst, i)
     }
 
-    fn candidates(&mut self, topo: &Topology, src: NiId, dst: NiId) -> &[RouteEntry] {
-        self.inner.candidates(topo, src, dst)
-    }
-
     fn resident_pairs(&self) -> usize {
         self.inner.resident_pairs()
     }
